@@ -219,8 +219,8 @@ pub trait DistanceOracle {
 
     /// Row indices `r` with `d(r, col) <= radius` (inclusive), ascending —
     /// the threshold-neighbourhood query behind the bipartite graph `H` of
-    /// Algorithm 4.1 and the dual-feasibility sums. O(rows) by scan here;
-    /// sublinear on the spatial backend.
+    /// Algorithm 4.1. O(rows) by scan here; sublinear on the spatial
+    /// backend.
     fn rows_within(&self, col: usize, radius: f64) -> Vec<usize> {
         (0..self.rows())
             .filter(|&r| self.dist(r, col) <= radius)

@@ -97,7 +97,13 @@ fn canonical_trace_is_workload_sensitive() {
 #[test]
 fn greedy_trace_names_its_published_phases() {
     let canonical = canonical_trace("greedy", &spec(), &base_cfg(1));
-    for phase in ["solve:greedy", "orders-build", "star-rounds", "finalize"] {
+    for phase in [
+        "solve:greedy",
+        "orders-build",
+        "star-rounds",
+        "finalize",
+        "certify",
+    ] {
         assert!(
             canonical.contains(&format!("\"name\":\"{phase}\"")),
             "missing phase '{phase}' in {canonical}"
