@@ -1,6 +1,6 @@
 //! The unified run configuration.
 
-use parfaclo_bucket::{EventEngine, RadiusDeriver};
+use parfaclo_bucket::RadiusDeriver;
 use parfaclo_graph::GraphBackend;
 use parfaclo_matrixops::ExecPolicy;
 use parfaclo_metric::{Backend, Coreset};
@@ -63,19 +63,12 @@ pub struct RunConfig {
     /// wherever both can run, so like `backend` this is a memory/latency
     /// knob, not a semantic one.
     pub graph: GraphBackend,
-    /// Which event engine drives the facility-location round loops:
-    /// `Bucket` (the default) serves greedy's sorted distance prefixes and
-    /// primal-dual's freeze/open events from deterministic bucket queues;
-    /// `Scan` keeps the historical full-presort / rescan paths. Canonical
-    /// output is byte-identical between the two — like `backend` and
-    /// `graph`, a work/latency knob, not a semantic one.
-    pub engine: EventEngine,
     /// How the k-center solver derives its candidate radii: `Exact` (the
     /// default) sorts all `O(n²)` distinct pairwise distances and preserves
     /// today's bytes (refused past the oracle's scratch cap); `Sketch`
     /// probes a deterministic seeded distance sample coarse-to-fine through
     /// geometric buckets, lifting k-center to the sparse/xlarge presets.
-    /// Unlike `engine`, the sketch may probe different radii than the exact
+    /// Unlike `backend` and `graph`, the sketch may probe different radii than the exact
     /// path, so it changes results (while keeping the 2-approximation
     /// structure) — which is why it is opt-in per run.
     pub radius_deriver: RadiusDeriver,
@@ -112,7 +105,6 @@ impl RunConfig {
             threshold: None,
             backend: Backend::Dense,
             graph: GraphBackend::Dense,
-            engine: EventEngine::default(),
             radius_deriver: RadiusDeriver::default(),
             coreset: Coreset::Off,
         }
@@ -193,12 +185,6 @@ impl RunConfig {
         self
     }
 
-    /// Replaces the facility-location event engine.
-    pub fn with_engine(mut self, engine: EventEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Replaces the k-center radius deriver.
     pub fn with_radius_deriver(mut self, radius_deriver: RadiusDeriver) -> Self {
         self.radius_deriver = radius_deriver;
@@ -241,7 +227,6 @@ mod tests {
             .with_threshold(3.5)
             .with_backend(Backend::Implicit)
             .with_graph(GraphBackend::Csr)
-            .with_engine(EventEngine::Scan)
             .with_radius_deriver(RadiusDeriver::Sketch)
             .with_coreset(Coreset::Eps(0.25));
         assert_eq!(cfg.epsilon, 0.25);
@@ -256,7 +241,6 @@ mod tests {
         assert_eq!(cfg.threshold, Some(3.5));
         assert_eq!(cfg.backend, Backend::Implicit);
         assert_eq!(cfg.graph, GraphBackend::Csr);
-        assert_eq!(cfg.engine, EventEngine::Scan);
         assert_eq!(cfg.radius_deriver, RadiusDeriver::Sketch);
         assert_eq!(cfg.coreset, Coreset::Eps(0.25));
     }
@@ -271,7 +255,6 @@ mod tests {
         assert!(cfg.threads.is_none(), "default inherits the ambient pool");
         assert_eq!(cfg.backend, Backend::Dense, "dense is the default backend");
         assert_eq!(cfg.graph, GraphBackend::Dense, "dense graph by default");
-        assert_eq!(cfg.engine, EventEngine::Bucket, "buckets by default");
         assert_eq!(
             cfg.radius_deriver,
             RadiusDeriver::Exact,

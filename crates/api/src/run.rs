@@ -75,10 +75,11 @@ pub struct Run {
     ///
     /// Emitted in [`Run::to_json`]'s timing/metadata section and excluded
     /// from [`Run::canonical_json`]: the counters are deterministic and
-    /// backend/graph/thread/policy-invariant, but the scan and bucket event
-    /// engines legitimately charge different amounts for the same result
-    /// (a full presort vs lazily expanded prefixes), and the canonical
-    /// record is what the engine-conformance tests compare byte-for-byte.
+    /// backend/graph/thread/policy-invariant, but they measure how a result
+    /// was computed, not the result. A change that computes the same result
+    /// with a different charge (say, sorting fewer distance buckets) moves
+    /// `work` and leaves the canonical record, which the conformance tests
+    /// compare byte-for-byte, unchanged.
     pub work: CostReport,
     /// Wall-clock milliseconds; stamped by the registry wrapper, excluded
     /// from [`Run::canonical_json`] so determinism comparisons stay exact.
@@ -353,9 +354,9 @@ impl Run {
     }
 
     /// JSON record with timing and work metadata omitted: byte-identical
-    /// across repeat runs with the same seed — and across event engines,
-    /// whose work counters legitimately differ — which is what the
-    /// determinism and engine-conformance tests compare.
+    /// across repeat runs with the same seed, backends, graph
+    /// representations and thread counts, which is what the determinism and
+    /// conformance tests compare.
     pub fn canonical_json(&self) -> String {
         self.json_fields(false).to_string()
     }
@@ -418,7 +419,7 @@ mod tests {
         assert!(!a.canonical_json().contains("\"memory_bytes\""));
         assert!(
             !a.canonical_json().contains("\"work\""),
-            "work counters differ legitimately between event engines"
+            "work counters are cost metadata, not results"
         );
         assert!(a.to_json().contains("\"work\""));
         assert!(a.to_json().contains("\"sort_calls\":1"));

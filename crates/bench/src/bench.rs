@@ -122,11 +122,6 @@ pub struct BenchConfig {
     pub subselection: bool,
     /// Explicit dominator threshold (`None` derives from the instance).
     pub threshold: Option<f64>,
-    /// Event-engine label (`scan` / `bucket`). The engines are
-    /// byte-equivalent but charge work differently and have different
-    /// latency profiles, so artifacts measured under different engines are
-    /// never joined.
-    pub engine: String,
     /// k-center radius-deriver label (`exact` / `sketch`). The sketch
     /// probes different thresholds, so it is a measurement-relevant knob.
     pub radius_deriver: String,
@@ -147,7 +142,6 @@ impl BenchConfig {
             preprocess: cfg.preprocess,
             subselection: cfg.subselection,
             threshold: cfg.threshold,
-            engine: cfg.engine.as_str().to_string(),
             radius_deriver: cfg.radius_deriver.as_str().to_string(),
         }
     }
@@ -167,13 +161,29 @@ impl BenchConfig {
                     None => JsonValue::Null,
                 },
             )
-            .string("engine", &self.engine)
             .string("radius_deriver", &self.radius_deriver)
             .build()
     }
 
+    /// Parses an artifact's config, refusing artifacts measured under the
+    /// removed scan event engine: they say `"engine":"scan"`, or, if written
+    /// before the engine knob existed, carry neither `engine` nor
+    /// `radius_deriver`. Artifacts that say `"engine":"bucket"` measured
+    /// what runs today.
     fn from_json_value(value: &JsonValue) -> Result<Self, String> {
         let missing = |key: &str| format!("bench config missing field '{key}'");
+        let engine = match (value.get("engine"), value.get("radius_deriver")) {
+            (Some(v), _) => v.as_str().unwrap_or("(not a string)"),
+            (None, None) => "scan",
+            (None, Some(_)) => "bucket",
+        };
+        if engine != "bucket" {
+            return Err(format!(
+                "artifact was measured under the '{engine}' event engine, which no longer \
+                 exists, so its cells cannot be compared with today's bucket engine \
+                 (regenerate the baseline with `parfaclo bench --out <path> --force`)"
+            ));
+        }
         Ok(BenchConfig {
             seed: value
                 .get("seed")
@@ -205,25 +215,11 @@ impl BenchConfig {
                 Some(JsonValue::Null) => None,
                 Some(v) => Some(v.as_f64().ok_or_else(|| missing("threshold"))?),
             },
-            // Optional on parse: artifacts written before the event-engine /
-            // radius-deriver knobs existed were all measured under the
-            // then-only scan/exact paths.
-            engine: match value.get("engine") {
-                None => "scan".to_string(),
-                Some(v) => v
-                    .as_str()
-                    .ok_or_else(|| "bench config field 'engine' must be a string".to_string())?
-                    .to_string(),
-            },
-            radius_deriver: match value.get("radius_deriver") {
-                None => "exact".to_string(),
-                Some(v) => v
-                    .as_str()
-                    .ok_or_else(|| {
-                        "bench config field 'radius_deriver' must be a string".to_string()
-                    })?
-                    .to_string(),
-            },
+            radius_deriver: value
+                .get("radius_deriver")
+                .and_then(JsonValue::as_str)
+                .ok_or_else(|| missing("radius_deriver"))?
+                .to_string(),
         })
     }
 }
@@ -1385,6 +1381,47 @@ mod tests {
             .replace(&format!(",\"config\":{}", art.config.to_json_value()), "");
         let err = BenchArtifact::parse(&stripped).unwrap_err();
         assert!(err.contains("config"), "{err}");
+    }
+
+    /// The artifact's JSON with its config's `radius_deriver` entry replaced
+    /// by `replacement` (which may add an `engine` entry, or drop both).
+    fn with_config_tail(art: &BenchArtifact, replacement: &str) -> String {
+        let text = art.to_json();
+        let tail = format!(",\"radius_deriver\":\"{}\"", art.config.radius_deriver);
+        assert!(text.contains(&tail));
+        text.replace(&tail, replacement)
+    }
+
+    #[test]
+    fn scan_engine_baseline_is_refused() {
+        let art = artifact(vec![record("greedy", "uniform", 10.0)]);
+        let scan = with_config_tail(&art, ",\"engine\":\"scan\",\"radius_deriver\":\"exact\"");
+        let err = BenchArtifact::parse(&scan).unwrap_err();
+        assert!(err.contains("'scan' event engine"), "{err}");
+        assert!(err.contains("regenerate"), "{err}");
+    }
+
+    #[test]
+    fn pre_engine_baseline_is_refused() {
+        // Written before the engine knob existed: neither `engine` nor
+        // `radius_deriver`, and measured under the scan engine.
+        let art = artifact(vec![record("greedy", "uniform", 10.0)]);
+        let err = BenchArtifact::parse(&with_config_tail(&art, "")).unwrap_err();
+        assert!(err.contains("'scan' event engine"), "{err}");
+        assert!(err.contains("regenerate"), "{err}");
+    }
+
+    #[test]
+    fn bucket_engine_baseline_still_joins() {
+        // Artifacts written while the engine was a knob say `"bucket"`;
+        // they measured what runs today and join a fresh artifact.
+        let art = artifact(vec![record("greedy", "uniform", 10.0)]);
+        assert!(!art.to_json().contains("\"engine\""));
+        let bucket = with_config_tail(&art, ",\"engine\":\"bucket\",\"radius_deriver\":\"exact\"");
+        let base = BenchArtifact::parse(&bucket).unwrap();
+        assert_eq!(base, art);
+        let report = compare(&base, &art).unwrap();
+        assert_eq!(report.rows.len(), 1);
     }
 
     #[test]

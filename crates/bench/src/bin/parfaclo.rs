@@ -91,14 +91,6 @@ OPTIONS:
                         representation that makes sparse million-vertex
                         graphs practical. Canonical results are
                         byte-identical either way      [default: dense]
-    --event-engine <e>  Round-loop event engine for the facility-location
-                        solvers: bucket serves greedy's sorted distance
-                        prefixes lazily from deterministic bucket queues
-                        and pops primal-dual's open/freeze events instead
-                        of rescanning; scan keeps the historical
-                        full-presort / per-iteration-rescan paths.
-                        Canonical output is byte-identical either way —
-                        only the work profile changes    [default: bucket]
     --radius-deriver <d>
                         k-center candidate-radius derivation: exact sorts
                         all n² pairwise distances (the paper's Theorem 6.1
@@ -318,7 +310,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--backend" => cfg.backend = value("--backend")?.parse()?,
             "--graph" => cfg.graph = value("--graph")?.parse()?,
             "--coreset" => cfg.coreset = value("--coreset")?.parse()?,
-            "--event-engine" => cfg.engine = value("--event-engine")?.parse()?,
             "--radius-deriver" => cfg.radius_deriver = value("--radius-deriver")?.parse()?,
             "--no-preprocess" => cfg.preprocess = false,
             "--no-subselection" => cfg.subselection = false,

@@ -504,6 +504,23 @@ mod tests {
     }
 
     #[test]
+    fn lp_rounding_refuses_the_medium_preset_instead_of_aborting() {
+        // The dense simplex tableau at n = 2000, nf = 64 would take ~376 GiB;
+        // the registry returns the LP's typed refusal before allocating it.
+        let registry = standard_registry();
+        let spec = GenSpec::parse("medium").unwrap();
+        let err = run_solver(&registry, "lp-rounding", &spec, &RunConfig::default()).unwrap_err();
+        for needle in [
+            "solver 'lp-rounding'",
+            "403587600000 bytes",
+            "4294967296-byte",
+            "greedy or primal-dual",
+        ] {
+            assert!(err.contains(needle), "{needle}: {err}");
+        }
+    }
+
+    #[test]
     fn unknown_solver_lists_alternatives() {
         let registry = standard_registry();
         let spec = GenSpec::parse("uniform:n=8").unwrap();

@@ -20,7 +20,7 @@
 
 use crate::config::FlConfig;
 use crate::solution::FlSolution;
-use parfaclo_bucket::{BucketMapping, BucketQueue, EventEngine};
+use parfaclo_bucket::{BucketMapping, BucketQueue};
 use parfaclo_dominator::{max_u_dom, BipartiteGraph};
 use parfaclo_lp::dual;
 use parfaclo_matrixops::CostMeter;
@@ -52,6 +52,34 @@ pub fn parallel_primal_dual(inst: &FlInstance, cfg: &FlConfig) -> FlSolution {
 /// Panics if the instance has no clients or no facilities, or if the defensive
 /// `cfg.max_rounds` cap is exceeded.
 pub fn parallel_primal_dual_detailed(inst: &FlInstance, cfg: &FlConfig) -> PrimalDualOutput {
+    primal_dual_with(inst, cfg, bucket_event_loop)
+}
+
+/// A main loop of Algorithm 5.1's dual ascent: raises the unfrozen duals
+/// along the ladder `t = α₀·(1+ε)^ℓ`, opening facilities and freezing
+/// clients, and returns the number of iterations it ran. The arguments are
+/// the instance, configuration, meter, slack `1+ε`, `α₀`, then the `frozen`,
+/// `α` and `opened` state, the free facilities, and `temporarily_open`.
+type DualAscent = fn(
+    &FlInstance,
+    &FlConfig,
+    &CostMeter,
+    f64,
+    f64,
+    &mut [bool],
+    &mut [f64],
+    &mut [bool],
+    &[FacilityId],
+    &mut Vec<FacilityId>,
+) -> usize;
+
+/// Algorithm 5.1 around the given dual-ascent main loop; the algorithm runs
+/// [`bucket_event_loop`], and the tests compare it with a reference.
+fn primal_dual_with(
+    inst: &FlInstance,
+    cfg: &FlConfig,
+    dual_ascent: DualAscent,
+) -> PrimalDualOutput {
     let nc = inst.num_clients();
     let nf = inst.num_facilities();
     assert!(
@@ -122,105 +150,22 @@ pub fn parallel_primal_dual_detailed(inst: &FlInstance, cfg: &FlConfig) -> Prima
     }
 
     // ---- Main iterations ---------------------------------------------------------------
-    //
-    // Both engines execute the *same* iteration ladder `t = α₀·(1+ε)^ℓ` and produce
-    // byte-identical `(opened, frozen, α, temporarily_open, iterations)` — only the
-    // work profile differs. `Scan` re-evaluates every facility and client each
-    // iteration (the paper's data-parallel formulation); `Bucket` schedules each
-    // facility/client on a deterministic bucket queue and touches it only when its
-    // event level arrives.
+    // Steps 1–3 run in the dual-ascent loop. Step 4 (the graph H) is materialised once
+    // at the end from the final α values: edges only ever get added and the membership
+    // test is monotone in α.
     let ascent_span = trace::span("dual-ascent", Some(&meter));
-    let mut iterations = 0usize;
-    let mut t = alpha0;
-    match cfg.engine {
-        EventEngine::Scan => {
-            while frozen.iter().any(|&f| !f) && opened.iter().any(|&o| !o) {
-                iterations += 1;
-                meter.add_round();
-                // Frontier = unfrozen clients at the start of the iteration;
-                // identical to the bucket engine's `unfrozen_count` because
-                // the engines replay the same ladder state-for-state.
-                trace::round(
-                    iterations as u64,
-                    || frozen.iter().filter(|&&f| !f).count() as u64,
-                    &meter,
-                );
-                assert!(
-                    iterations <= cfg.max_rounds,
-                    "parallel primal-dual exceeded {} iterations — this indicates a bug",
-                    cfg.max_rounds
-                );
-
-                // Step 1: unfrozen clients raise their dual to the current level.
-                for j in 0..nc {
-                    if !frozen[j] {
-                        alpha[j] = t;
-                    }
-                }
-                meter.add_primitive(nc as u64);
-
-                // Step 2: open facilities whose slack-inflated payments cover their cost.
-                meter.add_primitive(inst.m() as u64);
-                let should_open = |i: usize| -> bool {
-                    if opened[i] {
-                        return false;
-                    }
-                    let paid: f64 = (0..nc)
-                        .map(|j| (slack * alpha[j] - inst.dist(j, i)).max(0.0))
-                        .sum();
-                    paid >= inst.facility_cost(i)
-                };
-                let newly: Vec<bool> = if cfg.policy.run_parallel(inst.m()) {
-                    (0..nf).into_par_iter().map(should_open).collect()
-                } else {
-                    (0..nf).map(should_open).collect()
-                };
-                for i in 0..nf {
-                    if newly[i] {
-                        opened[i] = true;
-                        temporarily_open.push(i);
-                    }
-                }
-
-                // Step 3: freeze clients that can reach an open facility within the slack.
-                meter.add_primitive(inst.m() as u64);
-                let should_freeze = |j: usize| -> bool {
-                    !frozen[j] && (0..nf).any(|i| opened[i] && slack * alpha[j] >= inst.dist(j, i))
-                };
-                let newly_frozen: Vec<bool> = if cfg.policy.run_parallel(inst.m()) {
-                    (0..nc).into_par_iter().map(should_freeze).collect()
-                } else {
-                    (0..nc).map(should_freeze).collect()
-                };
-                for j in 0..nc {
-                    if newly_frozen[j] {
-                        frozen[j] = true;
-                    }
-                }
-
-                // Step 4 (the graph H) is materialised once at the end from the final α
-                // values: edges only ever get added and the membership test is monotone
-                // in α.
-                t *= slack;
-            }
-        }
-        EventEngine::Bucket => {
-            bucket_event_loop(
-                inst,
-                cfg,
-                &meter,
-                slack,
-                alpha0,
-                &mut frozen,
-                &mut alpha,
-                &mut opened,
-                &free_facilities,
-                &mut temporarily_open,
-                &mut iterations,
-                &mut t,
-            );
-        }
-    }
+    let iterations = dual_ascent(
+        inst,
+        cfg,
+        &meter,
+        slack,
+        alpha0,
+        &mut frozen,
+        &mut alpha,
+        &mut opened,
+        &free_facilities,
+        &mut temporarily_open,
+    );
 
     // If every facility opened before every client froze, the remaining clients' duals
     // rise just enough to reach their closest (now open) facility.
@@ -330,30 +275,33 @@ fn reschedule_ahead(deficit: f64, nc: f64, slack: f64, t: f64, ln_slack: f64) ->
     (k.min(1e12) as usize).saturating_sub(2).max(1)
 }
 
-/// The `EventEngine::Bucket` main loop of Algorithm 5.1.
+/// The dual-ascent main loop of Algorithm 5.1, driven by bucket-queue events.
 ///
-/// Replays the scan engine's iteration ladder exactly — same `t` sequence (one
+/// Runs the paper's iteration ladder exactly — same `t` sequence (one
 /// `t *= slack` per iteration), same exact open/freeze comparisons in the same
-/// floating-point evaluation order — but instead of rescanning all `m` entries
-/// per iteration it pops events from two deterministic bucket queues:
+/// floating-point evaluation order as the data-parallel formulation that
+/// rescans all `m` entries per iteration (step 1: unfrozen duals rise to `t`;
+/// step 2: open every facility whose payments cover its cost; step 3: freeze
+/// every client within `(1+ε)·α_j` of an open facility) — but instead of
+/// rescanning it pops events from two deterministic bucket queues:
 ///
 /// * an **open queue** keyed by the (integer) earliest iteration at which a
 ///   facility's payments could cover its cost; a popped facility gets the exact
-///   `Σ_j max(0, (1+ε)·α_j − d(j,i))` check (identical fold order to the scan
-///   engine) and is either opened or conservatively rescheduled, and
+///   `Σ_j max(0, (1+ε)·α_j − d(j,i))` check (ascending `j`, as the rescan
+///   folds it) and is either opened or conservatively rescheduled, and
 /// * a **freeze queue** keyed by each client's distance to its nearest opened
 ///   facility (`d_open_min`, an exact elementwise `min`); a client freezes in
 ///   the first iteration with `(1+ε)·t ≥ d_open_min[j]`, which is exactly the
-///   scan engine's step-3 predicate because every unfrozen dual equals `t`.
+///   step-3 predicate because every unfrozen dual equals `t`.
 ///   Key decreases use lazy deletion: stale (higher-keyed) entries pop later
 ///   and are skipped via the `frozen` flag.
 ///
 /// Within an iteration opens are processed before freezes (ascending facility
-/// id, as the scan engine appends them), so clients reached by a facility
-/// opened in the *same* iteration freeze in that iteration, matching step 2 →
-/// step 3 ordering. Work-meter charges reflect the events actually evaluated,
-/// so the work profile differs from the scan engine (by design); it is still a
-/// pure function of the instance and configuration.
+/// id, as the rescan appends them), so clients reached by a facility opened
+/// in the *same* iteration freeze in that iteration, matching step 2 → step 3
+/// ordering. Work-meter charges reflect the events actually evaluated; they
+/// are a pure function of the instance and configuration. The tests keep the
+/// rescan as `reference_dual_ascent` and compare the two bit for bit.
 #[allow(clippy::too_many_arguments)]
 fn bucket_event_loop(
     inst: &FlInstance,
@@ -366,9 +314,7 @@ fn bucket_event_loop(
     opened: &mut [bool],
     free_facilities: &[FacilityId],
     temporarily_open: &mut Vec<FacilityId>,
-    iterations: &mut usize,
-    t: &mut f64,
-) {
+) -> usize {
     let nc = inst.num_clients();
     let nc_f = nc as f64;
     let ln_slack = slack.ln();
@@ -411,33 +357,35 @@ fn bucket_event_loop(
         }
     }
 
-    // Level of the last executed iteration: the scan engine's step 1 leaves
-    // every still-unfrozen dual at that value (0.0 if no iteration ran).
+    // Level of the last executed iteration: the rescan's step 1 leaves every
+    // still-unfrozen dual at that value (0.0 if no iteration ran).
     let mut last_level = 0.0f64;
+    let mut t = alpha0;
+    let mut iterations = 0usize;
     while unfrozen_count > 0 && unopened_count > 0 {
-        *iterations += 1;
+        iterations += 1;
         meter.add_round();
-        // Mirrors the scan engine's frontier exactly (same ladder state).
-        trace::round(*iterations as u64, || unfrozen_count as u64, meter);
+        // Frontier = unfrozen clients at the start of the iteration.
+        trace::round(iterations as u64, || unfrozen_count as u64, meter);
         assert!(
-            *iterations <= cfg.max_rounds,
+            iterations <= cfg.max_rounds,
             "parallel primal-dual exceeded {} iterations — this indicates a bug",
             cfg.max_rounds
         );
-        let step = (*iterations - 1) as f64;
-        let level = *t;
+        let step = (iterations - 1) as f64;
+        let level = t;
         last_level = level;
 
         // Step 2 (event form): exact payment check for every facility whose
         // scheduled iteration has arrived; ascending facility id so
-        // `temporarily_open` matches the scan engine's append order.
+        // `temporarily_open` matches the rescan's append order.
         let mut ready = open_q.extract_ready(step);
         ready.sort_unstable_by_key(|&(i, _)| i);
         for (iu, _) in ready {
             let i = iu as usize;
-            // Identical fold (order and operations) to the scan engine's
-            // `should_open`; unfrozen duals conceptually hold `t` (the scan
-            // engine's step 1 writes it, we defer the write until freeze).
+            // Identical fold (order and operations) to the rescan's step 2;
+            // unfrozen duals conceptually hold `t` (the rescan's step 1
+            // writes it, this loop defers the write until freeze).
             let paid: f64 = (0..nc)
                 .map(|j| {
                     let aj = if frozen[j] { alpha[j] } else { level };
@@ -469,7 +417,7 @@ fn bucket_event_loop(
         }
 
         // Step 3 (event form): every unfrozen client with an opened facility
-        // within `(1+ε)·t` freezes now; `α_j = t` exactly as the scan engine's
+        // within `(1+ε)·t` freezes now; `α_j = t` exactly as the rescan's
         // step 1 would have set before its step-3 test.
         let threshold = slack * level;
         let ready = freeze_q.extract_ready(threshold);
@@ -483,16 +431,17 @@ fn bucket_event_loop(
             }
         }
 
-        *t *= slack;
+        t *= slack;
     }
 
-    // Mirror the scan engine's step-1 writes for clients that never froze, so
-    // the shared post-loop raise (`α_j = max(α_j, d_min)`) sees identical state.
+    // Mirror the rescan's step-1 writes for clients that never froze, so the
+    // post-loop raise (`α_j = max(α_j, d_min)`) sees identical state.
     for j in 0..nc {
         if !frozen[j] {
             alpha[j] = last_level;
         }
     }
+    iterations
 }
 
 #[cfg(test)]
@@ -671,43 +620,108 @@ mod tests {
         assert!(with.cost <= (3.0 + 0.4) * opt + 1e-6);
     }
 
+    /// The data-parallel dual ascent as the paper states it: every
+    /// iteration rescans all `m` entries. The reference that
+    /// [`bucket_event_loop`] must match bit for bit.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_dual_ascent(
+        inst: &FlInstance,
+        cfg: &FlConfig,
+        meter: &CostMeter,
+        slack: f64,
+        alpha0: f64,
+        frozen: &mut [bool],
+        alpha: &mut [f64],
+        opened: &mut [bool],
+        _free_facilities: &[FacilityId],
+        temporarily_open: &mut Vec<FacilityId>,
+    ) -> usize {
+        let nc = inst.num_clients();
+        let nf = inst.num_facilities();
+        let mut t = alpha0;
+        let mut iterations = 0usize;
+        while frozen.iter().any(|&f| !f) && opened.iter().any(|&o| !o) {
+            iterations += 1;
+            meter.add_round();
+            assert!(iterations <= cfg.max_rounds);
+
+            // Step 1: unfrozen clients raise their dual to the current level.
+            for j in 0..nc {
+                if !frozen[j] {
+                    alpha[j] = t;
+                }
+            }
+
+            // Step 2: open facilities whose slack-inflated payments cover their cost.
+            let should_open = |i: usize| -> bool {
+                if opened[i] {
+                    return false;
+                }
+                let paid: f64 = (0..nc)
+                    .map(|j| (slack * alpha[j] - inst.dist(j, i)).max(0.0))
+                    .sum();
+                paid >= inst.facility_cost(i)
+            };
+            let newly: Vec<bool> = (0..nf).map(should_open).collect();
+            for i in 0..nf {
+                if newly[i] {
+                    opened[i] = true;
+                    temporarily_open.push(i);
+                }
+            }
+
+            // Step 3: freeze clients that can reach an open facility within the slack.
+            for j in 0..nc {
+                if !frozen[j] && (0..nf).any(|i| opened[i] && slack * alpha[j] >= inst.dist(j, i)) {
+                    frozen[j] = true;
+                }
+            }
+            t *= slack;
+        }
+        iterations
+    }
+
     #[test]
-    fn scan_and_bucket_engines_agree_bit_for_bit() {
-        // The bucket event engine must replay the scan engine's iteration
-        // ladder exactly: same opens (order included), same freeze levels,
-        // same α bits, same iteration count — only the work profile differs.
+    fn bucket_event_loop_matches_reference_dual_ascent_bit_for_bit() {
+        // The bucket event loop must replay the rescan's iteration ladder
+        // exactly: same opens (order included), same freeze levels, same α
+        // bits, same iteration count — only the work profile differs.
         for seed in 0..4 {
             let inst = gen::facility_location(GenParams::uniform_square(24, 10).with_seed(seed));
             for preprocess in [true, false] {
-                let base = FlConfig::new(0.15)
+                let cfg = FlConfig::new(0.15)
                     .with_seed(seed)
                     .with_preprocess(preprocess);
-                let scan =
-                    parallel_primal_dual_detailed(&inst, &base.with_engine(EventEngine::Scan));
-                let bucket =
-                    parallel_primal_dual_detailed(&inst, &base.with_engine(EventEngine::Bucket));
+                let reference = primal_dual_with(&inst, &cfg, reference_dual_ascent);
+                let bucket = parallel_primal_dual_detailed(&inst, &cfg);
                 assert_eq!(
-                    scan.temporarily_open, bucket.temporarily_open,
+                    reference.temporarily_open, bucket.temporarily_open,
                     "seed {seed}"
                 );
-                assert_eq!(scan.free_facilities, bucket.free_facilities, "seed {seed}");
-                assert_eq!(scan.solution.open, bucket.solution.open, "seed {seed}");
-                assert_eq!(scan.solution.rounds, bucket.solution.rounds, "seed {seed}");
                 assert_eq!(
-                    scan.solution.cost.to_bits(),
+                    reference.free_facilities, bucket.free_facilities,
+                    "seed {seed}"
+                );
+                assert_eq!(reference.solution.open, bucket.solution.open, "seed {seed}");
+                assert_eq!(
+                    reference.solution.rounds, bucket.solution.rounds,
+                    "seed {seed}"
+                );
+                assert_eq!(
+                    reference.solution.cost.to_bits(),
                     bucket.solution.cost.to_bits(),
                     "seed {seed}"
                 );
                 assert_eq!(
-                    scan.solution.lower_bound.to_bits(),
+                    reference.solution.lower_bound.to_bits(),
                     bucket.solution.lower_bound.to_bits(),
                     "seed {seed}"
                 );
-                for (a, b) in scan.solution.alpha.iter().zip(&bucket.solution.alpha) {
+                for (a, b) in reference.solution.alpha.iter().zip(&bucket.solution.alpha) {
                     assert_eq!(a.to_bits(), b.to_bits(), "seed {seed}: α diverged");
                 }
                 assert_eq!(
-                    scan.solution.work.rounds, bucket.solution.work.rounds,
+                    reference.solution.work.rounds, bucket.solution.work.rounds,
                     "seed {seed}: round charges must agree"
                 );
             }
@@ -717,14 +731,18 @@ mod tests {
     #[test]
     fn bucket_engine_handles_degenerate_zero_gamma_instances() {
         // γ = 0: every client co-located with a zero-cost facility; the event
-        // loop must open it in iteration 1 at level t = 0 and freeze everyone.
+        // loop must open it in iteration 1 at level t = 0 and freeze everyone,
+        // as the reference does.
         let dist0 = DistanceMatrix::from_rows(2, 2, vec![0.0, 5.0, 0.0, 5.0]);
         let inst0 = FlInstance::new(vec![0.0, 1.0], dist0);
-        for engine in [EventEngine::Scan, EventEngine::Bucket] {
-            let sol = parallel_primal_dual(&inst0, &FlConfig::new(0.1).with_engine(engine));
-            assert!(sol.open.contains(&0), "{engine}");
-            assert!((sol.cost - 0.0).abs() < 1e-9, "{engine}");
-        }
+        let cfg = FlConfig::new(0.1);
+        let sol = parallel_primal_dual(&inst0, &cfg);
+        assert!(sol.open.contains(&0));
+        assert!((sol.cost - 0.0).abs() < 1e-9);
+        let reference = primal_dual_with(&inst0, &cfg, reference_dual_ascent).solution;
+        assert_eq!(reference.open, sol.open);
+        assert_eq!(reference.alpha, sol.alpha);
+        assert_eq!(reference.rounds, sol.rounds);
     }
 
     #[test]

@@ -24,7 +24,6 @@ impl From<&RunConfig> for FlConfig {
             preprocess: cfg.preprocess,
             subselection: cfg.subselection,
             max_rounds: cfg.max_rounds,
-            engine: cfg.engine,
         }
     }
 }
@@ -156,8 +155,7 @@ impl Solver for LpRoundingSolver {
     fn solve(&self, inst: &FlInstance, cfg: &FlConfig) -> Result<Run, String> {
         let lp = {
             let _span = trace::span("lp-solve", None);
-            solve_facility_lp(inst)
-                .map_err(|e| format!("facility-location LP relaxation unsolvable: {e}"))?
+            solve_facility_lp(inst).map_err(|e| e.to_string())?
         };
         let sol = lp_rounding::parallel_lp_rounding(inst, &lp, cfg);
         Ok(echo(

@@ -4,57 +4,15 @@
 //! `(f_i + Σ_{j∈C'} d(j,i)) / |C'|`. The greedy algorithms (sequential and parallel)
 //! repeatedly need, for every facility, the **cheapest maximal star** over the remaining
 //! clients. By Fact 4.2 this star consists of the `κ` closest remaining clients for some
-//! `κ`, so after presorting each facility's client distances once, each round only needs
-//! a prefix sum along the sorted order — which is exactly how Algorithm 4.1 implements
-//! its step 1.
+//! `κ`, so each round only needs a prefix sum along every facility's distance-sorted
+//! client order — which is exactly how Algorithm 4.1 implements its step 1. The sorted
+//! orders are served lazily: each facility's clients are bucketed by distance once, and
+//! a bucket is sorted only when a star scan actually reaches it.
 
-use parfaclo_bucket::{BucketMapping, EventEngine};
-use parfaclo_matrixops::{sort, CostMeter, ExecPolicy};
+use parfaclo_bucket::BucketMapping;
+use parfaclo_matrixops::{CostMeter, ExecPolicy};
 use parfaclo_metric::{ClientId, DistanceOracle, FacilityId, FlInstance};
 use rayon::prelude::*;
-
-/// Pre-sorted client order for every facility: `orders[i]` lists the client indices in
-/// non-decreasing distance from facility `i`.
-#[derive(Debug, Clone)]
-pub struct FacilityOrders {
-    orders: Vec<Vec<u32>>,
-}
-
-impl FacilityOrders {
-    /// Presorts every facility's clients by distance. Costs one (virtual) row sort
-    /// over the transposed distance matrix (`O(m log m)` work), done once per
-    /// algorithm run. Distances are pulled straight from the instance's oracle one
-    /// facility column at a time, so peak memory is `O(|C|)` scratch per in-flight
-    /// facility — the dense `|C| x |F|` transpose is never materialised, which is
-    /// what keeps the greedy algorithm feasible on implicit-backend instances with
-    /// hundreds of thousands of clients.
-    pub fn presort(inst: &FlInstance, policy: ExecPolicy, meter: &CostMeter) -> Self {
-        let nc = inst.num_clients();
-        let nf = inst.num_facilities();
-        meter.add_primitive((nc * nf) as u64);
-        // Facility-major view: virtual row i holds d(j, i) for every client
-        // j — one oracle column, filled whole so the blocked distance
-        // kernels serve it instead of `nc` per-element oracle calls.
-        let oracle = inst.distances();
-        let row_orders = sort::argsort_rows_filled(nf, nc, policy, meter, |i, row| {
-            oracle.col_range_into(i, 0, row);
-        });
-        FacilityOrders {
-            orders: row_orders.into_iter().map(|ro| ro.order).collect(),
-        }
-    }
-
-    /// The sorted client order of facility `i`.
-    #[inline]
-    pub fn order(&self, i: FacilityId) -> &[u32] {
-        &self.orders[i]
-    }
-
-    /// Number of facilities covered.
-    pub fn num_facilities(&self) -> usize {
-        self.orders.len()
-    }
-}
 
 /// A maximal cheapest star: facility, price, and the clients it contains.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,105 +25,6 @@ pub struct Star {
     pub clients: Vec<ClientId>,
 }
 
-/// Computes the cheapest maximal star of facility `i` over the clients for which
-/// `remaining` is `true`, using the presorted `order` and the (possibly zeroed) facility
-/// cost `fcost`. Returns `None` if no clients remain.
-pub fn cheapest_maximal_star(
-    inst: &FlInstance,
-    i: FacilityId,
-    fcost: f64,
-    order: &[u32],
-    remaining: &[bool],
-) -> Option<Star> {
-    // Remaining clients are walked in presorted order, one distance tile at
-    // a time: a tile of surviving clients is gathered through the oracle's
-    // blocked column kernel, then walked scalar with the early break below.
-    // Wasted work on a break is bounded by one tile.
-    const TILE: usize = 64;
-    let oracle = inst.distances();
-    let mut best_price = f64::INFINITY;
-    let mut best_k = 0usize;
-    let mut dist_sum = 0.0;
-    let mut k = 0usize;
-    let mut clients_in_order: Vec<ClientId> = Vec::new();
-    let mut batch: Vec<usize> = Vec::with_capacity(TILE);
-    let mut dists = [0.0f64; TILE];
-    let mut cursor = 0usize;
-    'scan: while cursor < order.len() {
-        batch.clear();
-        while cursor < order.len() && batch.len() < TILE {
-            let j = order[cursor] as usize;
-            cursor += 1;
-            if remaining[j] {
-                batch.push(j);
-            }
-        }
-        if batch.is_empty() {
-            continue;
-        }
-        oracle.col_gather(i, &batch, &mut dists[..batch.len()]);
-        for (&j, &d) in batch.iter().zip(dists.iter()) {
-            // Early termination: distances arrive in non-decreasing order, so
-            // once `d > best_price` every later prefix price exceeds
-            // `best_price` in real arithmetic (price_{k+1} is the k-weighted
-            // average of price_k and d_{k+1}, and all later distances are >= d —
-            // the unimodality behind Fact 4.2), turning the scan into
-            // O(|star|) distance evaluations instead of O(|C|), on every
-            // backend. Strictly greater only: a distance *equal* to the best
-            // price still extends the maximal star at the same price. Defined
-            // behaviour on sub-ulp edges: a full scan's rounded price can dip
-            // back to == best_price even though the real price is larger; this
-            // scan resolves such artificial ties by the real-arithmetic
-            // semantics (the star is not extended). Identical everywhere it
-            // matters: deterministic, and invariant across backends, thread
-            // counts and policies, since every configuration runs this exact
-            // loop on bit-identical distances.
-            if d > best_price {
-                break 'scan;
-            }
-            dist_sum += d;
-            k += 1;
-            clients_in_order.push(j);
-            let price = (fcost + dist_sum) / k as f64;
-            // Prefer smaller prices; on ties prefer the larger star (maximality) — ties are
-            // handled automatically because `k` increases monotonically through the scan.
-            if price <= best_price {
-                best_price = price;
-                best_k = k;
-            }
-        }
-    }
-    if k == 0 {
-        return None;
-    }
-    clients_in_order.truncate(best_k);
-    Some(Star {
-        facility: i,
-        price: best_price,
-        clients: clients_in_order,
-    })
-}
-
-/// Computes the cheapest maximal star of every facility in parallel. `fcosts` carries
-/// the *current* facility costs (zeroed for already-open facilities, per the paper).
-pub fn all_cheapest_stars(
-    inst: &FlInstance,
-    fcosts: &[f64],
-    orders: &FacilityOrders,
-    remaining: &[bool],
-    policy: ExecPolicy,
-    meter: &CostMeter,
-) -> Vec<Option<Star>> {
-    let nf = inst.num_facilities();
-    meter.add_primitive((inst.num_clients() * nf) as u64);
-    let one = |i: usize| cheapest_maximal_star(inst, i, fcosts[i], orders.order(i), remaining);
-    if policy.run_parallel(inst.m()) {
-        (0..nf).into_par_iter().map(one).collect()
-    } else {
-        (0..nf).map(one).collect()
-    }
-}
-
 /// Number of distinct bucket keys under the default geometric mapping
 /// (4 refinement bits: 12 exponent+mantissa bits survive the shift, and the
 /// sign bit of a non-negative finite `f64` is always 0).
@@ -175,13 +34,12 @@ const LAZY_KEYS: usize = 1 << 16;
 ///
 /// The clients are partitioned once into geometric distance buckets
 /// (ascending bucket key, ascending client id within a bucket — a counting
-/// pass, no comparison sort). `sorted` is the materialised prefix: whole
-/// buckets, sorted on demand by packed `(distance_bits << 32) | id` exactly
-/// like [`FacilityOrders::presort`]'s row sort, appended in bucket order.
-/// Because the geometric mapping is monotone and its buckets bracket
-/// disjoint value intervals, the concatenation of per-bucket sorted runs
-/// reproduces the full presorted order — just only as far as the star scans
-/// actually consume it.
+/// pass, no comparison sort). Expanding a bucket sorts its slice of
+/// `bucket_ids` in place by packed `(distance_bits << 32) | id`, so the
+/// expanded buckets form a sorted prefix of `bucket_ids`. Because the
+/// geometric mapping is monotone and its buckets bracket disjoint value
+/// intervals, that prefix is exactly the full distance order (ties by
+/// ascending id) — just only as far as the star scans actually consume it.
 #[derive(Debug, Clone)]
 pub struct LazyFacilityOrder {
     /// Ascending keys of the non-empty buckets.
@@ -189,11 +47,9 @@ pub struct LazyFacilityOrder {
     /// CSR offsets into `bucket_ids`, one per non-empty bucket plus the
     /// terminating total.
     bucket_offsets: Vec<u32>,
-    /// Client ids grouped by bucket (ascending id within each bucket).
+    /// Client ids grouped by bucket: sorted by distance within every
+    /// expanded bucket, ascending id within the others.
     bucket_ids: Vec<u32>,
-    /// The sorted prefix: every expanded bucket's clients in full sorted
-    /// order.
-    sorted: Vec<u32>,
     /// Index of the first unexpanded bucket.
     next_bucket: usize,
 }
@@ -234,7 +90,6 @@ impl LazyFacilityOrder {
             bucket_keys,
             bucket_offsets,
             bucket_ids,
-            sorted: Vec::new(),
             next_bucket: 0,
         }
     }
@@ -244,35 +99,41 @@ impl LazyFacilityOrder {
         self.bucket_keys.get(self.next_bucket).copied()
     }
 
-    /// Sorts the next bucket's clients by `(distance_bits, id)` and appends
-    /// them to the sorted prefix. Charges one sort of the bucket's size.
+    /// The sorted prefix: every expanded bucket's clients in full sorted
+    /// order.
+    fn sorted_prefix(&self) -> &[u32] {
+        &self.bucket_ids[..self.bucket_offsets[self.next_bucket] as usize]
+    }
+
+    /// Sorts the next bucket's clients in place by `(distance_bits, id)`,
+    /// extending the sorted prefix by one bucket. Charges one sort of the
+    /// bucket's size.
     fn expand_next_bucket(&mut self, inst: &FlInstance, i: FacilityId, meter: &CostMeter) {
         let b = self.next_bucket;
         debug_assert!(b < self.bucket_keys.len());
         let start = self.bucket_offsets[b] as usize;
         let end = self.bucket_offsets[b + 1] as usize;
-        let ids = &self.bucket_ids[start..end];
+        let ids = &mut self.bucket_ids[start..end];
         let clients: Vec<usize> = ids.iter().map(|&j| j as usize).collect();
         let mut dists = vec![0.0f64; clients.len()];
         inst.distances().col_gather(i, &clients, &mut dists);
-        // The same packed representation as the presort's row argsort:
-        // ties in distance break by ascending client id, so the appended
-        // run continues the exact global presorted order.
+        // Ties in distance break by ascending client id, so the sorted
+        // bucket continues the exact global distance order.
         let mut packed: Vec<u128> = ids
             .iter()
             .zip(dists.iter())
             .map(|(&j, &d)| (u128::from(d.to_bits()) << 32) | u128::from(j))
             .collect();
         packed.sort_unstable();
-        self.sorted
-            .extend(packed.iter().map(|&p| (p & 0xFFFF_FFFF) as u32));
+        for (slot, &p) in ids.iter_mut().zip(packed.iter()) {
+            *slot = (p & 0xFFFF_FFFF) as u32;
+        }
         meter.add_sort(clients.len() as u64);
         self.next_bucket += 1;
     }
 }
 
-/// Lazily-sorted client orders for every facility (the bucket event
-/// engine's replacement for [`FacilityOrders`]).
+/// Lazily-sorted client orders for every facility.
 #[derive(Debug, Clone)]
 pub struct LazyOrders {
     mapping: BucketMapping,
@@ -280,10 +141,11 @@ pub struct LazyOrders {
 }
 
 impl LazyOrders {
-    /// Buckets every facility's client distances — the same one-pass-over-m
-    /// primitive charge as [`FacilityOrders::presort`], but no sort: sorting
-    /// is deferred to [`cheapest_maximal_star_bucketed`]'s on-demand bucket
-    /// expansions.
+    /// Buckets every facility's client distances — one primitive pass over
+    /// `m`, but no sort: sorting is deferred to [`cheapest_maximal_star`]'s
+    /// on-demand bucket expansions. Distances are pulled from the oracle one
+    /// facility column at a time, so the dense `|C| x |F|` transpose is never
+    /// materialised; the orders themselves hold `4·m` bytes of client ids.
     pub fn build(inst: &FlInstance, policy: ExecPolicy, meter: &CostMeter) -> Self {
         let nc = inst.num_clients();
         let nf = inst.num_facilities();
@@ -306,20 +168,22 @@ impl LazyOrders {
         self.facilities.len()
     }
 
-    /// Total clients materialised into sorted prefixes so far (diagnostic).
+    /// Total clients in sorted prefixes so far (diagnostic).
     pub fn expanded_clients(&self) -> usize {
-        self.facilities.iter().map(|f| f.sorted.len()).sum()
+        self.facilities
+            .iter()
+            .map(|f| f.sorted_prefix().len())
+            .sum()
     }
 }
 
-/// The bucket-engine variant of [`cheapest_maximal_star`]: identical scan,
-/// but the presorted order is served from the facility's lazily expanded
-/// bucket prefix. When the prefix runs out, the next bucket's exact lower
-/// bound decides between stopping (every later distance already exceeds the
-/// best price — the same condition the presorted scan's early break would
-/// hit) and sorting one more bucket. Byte-identical stars to the presort
-/// path at every backend, policy and thread count.
-pub fn cheapest_maximal_star_bucketed(
+/// Computes the cheapest maximal star of facility `i` over the clients for which
+/// `remaining` is `true`, with the (possibly zeroed) facility cost `fcost`. The
+/// distance-sorted order is served from the facility's lazily expanded bucket
+/// prefix: when the prefix runs out, the next bucket's exact lower bound decides
+/// between stopping (every later distance already exceeds the best price) and
+/// sorting one more bucket. Returns `None` if no clients remain.
+pub fn cheapest_maximal_star(
     inst: &FlInstance,
     i: FacilityId,
     fcost: f64,
@@ -328,6 +192,10 @@ pub fn cheapest_maximal_star_bucketed(
     remaining: &[bool],
     meter: &CostMeter,
 ) -> Option<Star> {
+    // Remaining clients are walked in sorted order, one distance tile at a
+    // time: a tile of surviving clients is gathered through the oracle's
+    // blocked column kernel, then walked scalar with the early break below.
+    // Wasted work on a break is bounded by one tile.
     const TILE: usize = 64;
     let oracle = inst.distances();
     let mut best_price = f64::INFINITY;
@@ -339,11 +207,11 @@ pub fn cheapest_maximal_star_bucketed(
     let mut dists = [0.0f64; TILE];
     let mut cursor = 0usize;
     'outer: loop {
-        // Scan the materialised prefix exactly like the presorted path.
-        while cursor < state.sorted.len() {
+        let order = state.sorted_prefix();
+        while cursor < order.len() {
             batch.clear();
-            while cursor < state.sorted.len() && batch.len() < TILE {
-                let j = state.sorted[cursor] as usize;
+            while cursor < order.len() && batch.len() < TILE {
+                let j = order[cursor] as usize;
                 cursor += 1;
                 if remaining[j] {
                     batch.push(j);
@@ -354,9 +222,21 @@ pub fn cheapest_maximal_star_bucketed(
             }
             oracle.col_gather(i, &batch, &mut dists[..batch.len()]);
             for (&j, &d) in batch.iter().zip(dists.iter()) {
-                // Same early-termination semantics as the presorted scan
-                // (see `cheapest_maximal_star`): strictly greater ends the
-                // whole scan.
+                // Early termination: distances arrive in non-decreasing order, so
+                // once `d > best_price` every later prefix price exceeds
+                // `best_price` in real arithmetic (price_{k+1} is the k-weighted
+                // average of price_k and d_{k+1}, and all later distances are >= d —
+                // the unimodality behind Fact 4.2), turning the scan into
+                // O(|star|) distance evaluations instead of O(|C|), on every
+                // backend. Strictly greater only: a distance *equal* to the best
+                // price still extends the maximal star at the same price. Defined
+                // behaviour on sub-ulp edges: a full scan's rounded price can dip
+                // back to == best_price even though the real price is larger; this
+                // scan resolves such artificial ties by the real-arithmetic
+                // semantics (the star is not extended). Identical everywhere it
+                // matters: deterministic, and invariant across backends, thread
+                // counts and policies, since every configuration runs this exact
+                // loop on bit-identical distances.
                 if d > best_price {
                     break 'outer;
                 }
@@ -364,6 +244,8 @@ pub fn cheapest_maximal_star_bucketed(
                 k += 1;
                 clients_in_order.push(j);
                 let price = (fcost + dist_sum) / k as f64;
+                // Prefer smaller prices; on ties prefer the larger star (maximality) — ties are
+                // handled automatically because `k` increases monotonically through the scan.
                 if price <= best_price {
                     best_price = price;
                     best_k = k;
@@ -371,9 +253,9 @@ pub fn cheapest_maximal_star_bucketed(
             }
         }
         // Prefix exhausted. Geometric buckets bracket disjoint intervals,
-        // so `lower_bound(next key)` under-approximates every not-yet-
-        // materialised distance: above the best price, the presorted scan
-        // would break on its first remaining client too.
+        // so `lower_bound(next key)` under-approximates every not-yet-sorted
+        // distance: above the best price, the scan would break on its first
+        // remaining client in that bucket anyway.
         match state.next_bucket_key() {
             None => break,
             Some(key) => {
@@ -395,10 +277,10 @@ pub fn cheapest_maximal_star_bucketed(
     })
 }
 
-/// The bucket-engine variant of [`all_cheapest_stars`]: same per-round
-/// primitive charge, per-facility scans in parallel over independent lazy
-/// states.
-pub fn all_cheapest_stars_lazy(
+/// Computes the cheapest maximal star of every facility in parallel over independent
+/// lazy order states. `fcosts` carries the *current* facility costs (zeroed for
+/// already-open facilities, per the paper).
+pub fn all_cheapest_stars(
     inst: &FlInstance,
     fcosts: &[f64],
     orders: &mut LazyOrders,
@@ -410,7 +292,7 @@ pub fn all_cheapest_stars_lazy(
     meter.add_primitive((inst.num_clients() * nf) as u64);
     let mapping = orders.mapping;
     let one = |(i, state): (usize, &mut LazyFacilityOrder)| {
-        cheapest_maximal_star_bucketed(inst, i, fcosts[i], mapping, state, remaining, meter)
+        cheapest_maximal_star(inst, i, fcosts[i], mapping, state, remaining, meter)
     };
     if policy.run_parallel(inst.m()) {
         orders
@@ -421,49 +303,6 @@ pub fn all_cheapest_stars_lazy(
             .collect()
     } else {
         orders.facilities.iter_mut().enumerate().map(one).collect()
-    }
-}
-
-/// Engine-selected facility orders: the full presort or the lazy bucket
-/// partition, behind one seam so the greedy round loop is engine-agnostic.
-#[derive(Debug, Clone)]
-pub enum StarOrders {
-    /// Eager `O(m log m)` presort ([`EventEngine::Scan`]).
-    Presort(FacilityOrders),
-    /// Lazy bucket expansion ([`EventEngine::Bucket`]).
-    Lazy(LazyOrders),
-}
-
-impl StarOrders {
-    /// Builds the orders for the configured engine.
-    pub fn build(
-        inst: &FlInstance,
-        engine: EventEngine,
-        policy: ExecPolicy,
-        meter: &CostMeter,
-    ) -> Self {
-        match engine {
-            EventEngine::Scan => StarOrders::Presort(FacilityOrders::presort(inst, policy, meter)),
-            EventEngine::Bucket => StarOrders::Lazy(LazyOrders::build(inst, policy, meter)),
-        }
-    }
-}
-
-/// Computes every facility's cheapest maximal star through whichever orders
-/// representation the engine selected. Both arms return byte-identical
-/// stars; only the work profile (one big sort vs lazily expanded bucket
-/// sorts) differs.
-pub fn all_cheapest_stars_with(
-    inst: &FlInstance,
-    fcosts: &[f64],
-    orders: &mut StarOrders,
-    remaining: &[bool],
-    policy: ExecPolicy,
-    meter: &CostMeter,
-) -> Vec<Option<Star>> {
-    match orders {
-        StarOrders::Presort(o) => all_cheapest_stars(inst, fcosts, o, remaining, policy, meter),
-        StarOrders::Lazy(o) => all_cheapest_stars_lazy(inst, fcosts, o, remaining, policy, meter),
     }
 }
 
@@ -481,28 +320,74 @@ mod tests {
         )
     }
 
-    #[test]
-    fn presort_orders_clients_by_distance() {
-        let inst = gen::facility_location(GenParams::uniform_square(12, 5).with_seed(3));
+    /// Facility `i`'s cheapest maximal star, from freshly built lazy orders.
+    fn star_of(inst: &FlInstance, i: FacilityId, fcost: f64, remaining: &[bool]) -> Option<Star> {
         let meter = CostMeter::new();
-        let orders = FacilityOrders::presort(&inst, ExecPolicy::Sequential, &meter);
-        assert_eq!(orders.num_facilities(), 5);
-        for i in 0..5 {
-            let o = orders.order(i);
-            assert_eq!(o.len(), 12);
-            for w in o.windows(2) {
-                assert!(inst.dist(w[0] as usize, i) <= inst.dist(w[1] as usize, i));
+        let mut orders = LazyOrders::build(inst, ExecPolicy::Sequential, &meter);
+        let state = &mut orders.facilities[i];
+        cheapest_maximal_star(inst, i, fcost, orders.mapping, state, remaining, &meter)
+    }
+
+    /// Reference for the lazy path: fully sort the remaining clients by
+    /// `(distance, id)`, then take the cheapest prefix with the same early
+    /// break.
+    fn reference_star(
+        inst: &FlInstance,
+        i: FacilityId,
+        fcost: f64,
+        remaining: &[bool],
+    ) -> Option<Star> {
+        let mut order: Vec<(f64, ClientId)> = (0..inst.num_clients())
+            .filter(|&j| remaining[j])
+            .map(|j| (inst.dist(j, i), j))
+            .collect();
+        order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let (mut best_price, mut best_k, mut dist_sum) = (f64::INFINITY, 0, 0.0);
+        for (k, &(d, _)) in order.iter().enumerate() {
+            if d > best_price {
+                break;
+            }
+            dist_sum += d;
+            let price = (fcost + dist_sum) / (k + 1) as f64;
+            if price <= best_price {
+                best_price = price;
+                best_k = k + 1;
             }
         }
+        (best_k > 0).then(|| Star {
+            facility: i,
+            price: best_price,
+            clients: order[..best_k].iter().map(|&(_, j)| j).collect(),
+        })
+    }
+
+    #[test]
+    fn presort_orders_clients_by_distance() {
+        // Expanding every bucket yields the full presorted order: ascending
+        // distance, ties by ascending client id.
+        let inst = gen::facility_location(GenParams::uniform_square(12, 5).with_seed(3));
+        let meter = CostMeter::new();
+        let mut orders = LazyOrders::build(&inst, ExecPolicy::Sequential, &meter);
+        assert_eq!(orders.num_facilities(), 5);
+        for (i, state) in orders.facilities.iter_mut().enumerate() {
+            while state.next_bucket_key().is_some() {
+                state.expand_next_bucket(&inst, i, &meter);
+            }
+            let o = state.sorted_prefix();
+            assert_eq!(o.len(), 12);
+            for w in o.windows(2) {
+                let (a, b) = (w[0] as usize, w[1] as usize);
+                assert!((inst.dist(a, i), a) < (inst.dist(b, i), b));
+            }
+        }
+        assert_eq!(orders.expanded_clients(), 60);
         assert!(meter.report().sort_calls >= 1);
     }
 
     #[test]
     fn cheapest_star_known_answer() {
         let inst = inst_one_facility();
-        let order = vec![0u32, 1, 2, 3];
-        let remaining = vec![true; 4];
-        let star = cheapest_maximal_star(&inst, 0, 3.0, &order, &remaining).unwrap();
+        let star = star_of(&inst, 0, 3.0, &[true; 4]).unwrap();
         // Prices: k=1: 4, k=2: 3, k=3: 35.33, k=4: 76.5 → best is k=2, price 3.
         assert_eq!(star.clients, vec![0, 1]);
         assert!((star.price - 3.0).abs() < 1e-12);
@@ -511,13 +396,12 @@ mod tests {
     #[test]
     fn removed_clients_are_skipped() {
         let inst = inst_one_facility();
-        let order = vec![0u32, 1, 2, 3];
         let remaining = vec![false, true, true, false];
-        let star = cheapest_maximal_star(&inst, 0, 3.0, &order, &remaining).unwrap();
+        let star = star_of(&inst, 0, 3.0, &remaining).unwrap();
         // Only clients 1 and 2 remain: k=1 → (3+2)/1 = 5; k=2 → (3+102)/2 = 52.5.
         assert_eq!(star.clients, vec![1]);
         assert!((star.price - 5.0).abs() < 1e-12);
-        assert!(cheapest_maximal_star(&inst, 0, 3.0, &order, &[false; 4]).is_none());
+        assert!(star_of(&inst, 0, 3.0, &[false; 4]).is_none());
     }
 
     /// Pins the defined behaviour of the early-terminated scan on sub-ulp
@@ -533,15 +417,14 @@ mod tests {
             vec![0.0],
             DistanceMatrix::from_rows(2, 1, vec![1.0, 1.0 + eps]),
         );
-        let order = vec![0u32, 1];
-        let star = cheapest_maximal_star(&inst, 0, 0.0, &order, &[true, true]).unwrap();
+        let star = star_of(&inst, 0, 0.0, &[true, true]).unwrap();
         // (1.0 + (1.0 + eps)) / 2 rounds to exactly 1.0, but the real value
         // exceeds 1.0 — the scan stops at the 1-client star of price 1.
         assert_eq!(star.clients, vec![0]);
         assert_eq!(star.price, 1.0);
         // An *exact* tie still extends the star (maximality).
         let tied = FlInstance::new(vec![0.0], DistanceMatrix::from_rows(2, 1, vec![1.0, 1.0]));
-        let star = cheapest_maximal_star(&tied, 0, 0.0, &order, &[true, true]).unwrap();
+        let star = star_of(&tied, 0, 0.0, &[true, true]).unwrap();
         assert_eq!(star.clients, vec![0, 1]);
         assert_eq!(star.price, 1.0);
     }
@@ -551,13 +434,13 @@ mod tests {
         // Fact 4.2(1): j is in the cheapest maximal star iff d(j,i) <= price.
         let inst = gen::facility_location(GenParams::gaussian_clusters(20, 6, 3).with_seed(5));
         let meter = CostMeter::new();
-        let orders = FacilityOrders::presort(&inst, ExecPolicy::Sequential, &meter);
+        let mut orders = LazyOrders::build(&inst, ExecPolicy::Sequential, &meter);
         let remaining = vec![true; 20];
         let fcosts: Vec<f64> = (0..6).map(|i| inst.facility_cost(i)).collect();
         let stars = all_cheapest_stars(
             &inst,
             &fcosts,
-            &orders,
+            &mut orders,
             &remaining,
             ExecPolicy::Sequential,
             &meter,
@@ -578,13 +461,9 @@ mod tests {
     fn fact_42_second_part_holds() {
         // Fact 4.2(2): if t = price(S_i) then Σ_j max(0, t − d(j,i)) = f_i.
         let inst = gen::facility_location(GenParams::uniform_square(15, 4).with_seed(8));
-        let meter = CostMeter::new();
-        let orders = FacilityOrders::presort(&inst, ExecPolicy::Sequential, &meter);
         let remaining = vec![true; 15];
         for i in 0..4 {
-            let star =
-                cheapest_maximal_star(&inst, i, inst.facility_cost(i), orders.order(i), &remaining)
-                    .unwrap();
+            let star = star_of(&inst, i, inst.facility_cost(i), &remaining).unwrap();
             let lhs: f64 = (0..15)
                 .map(|j| (star.price - inst.dist(j, i)).max(0.0))
                 .sum();
@@ -598,26 +477,20 @@ mod tests {
 
     #[test]
     fn lazy_orders_match_presort_star_for_star() {
-        // Drive both engines through a sequence of rounds with shrinking
+        // Drive the lazy orders through a sequence of rounds with shrinking
         // remaining sets and zeroed facility costs — the exact access
-        // pattern of the greedy loop — and demand identical stars (prices
-        // bit-equal, client lists element-equal) at every step.
+        // pattern of the greedy loop — and demand the reference's stars
+        // (prices bit-equal, client lists element-equal) at every step.
         let inst = gen::facility_location(GenParams::gaussian_clusters(60, 9, 4).with_seed(11));
         let meter = CostMeter::new();
-        let presort = FacilityOrders::presort(&inst, ExecPolicy::Sequential, &meter);
         let mut lazy = LazyOrders::build(&inst, ExecPolicy::Sequential, &meter);
         let mut remaining = vec![true; 60];
         let mut fcosts: Vec<f64> = (0..9).map(|i| inst.facility_cost(i)).collect();
         for round in 0..6 {
-            let eager = all_cheapest_stars(
-                &inst,
-                &fcosts,
-                &presort,
-                &remaining,
-                ExecPolicy::Sequential,
-                &meter,
-            );
-            let bucketed = all_cheapest_stars_lazy(
+            let reference: Vec<Option<Star>> = (0..9)
+                .map(|i| reference_star(&inst, i, fcosts[i], &remaining))
+                .collect();
+            let bucketed = all_cheapest_stars(
                 &inst,
                 &fcosts,
                 &mut lazy,
@@ -625,10 +498,10 @@ mod tests {
                 ExecPolicy::Sequential,
                 &meter,
             );
-            assert_eq!(eager, bucketed, "round {round}");
+            assert_eq!(reference, bucketed, "round {round}");
             // Mimic a greedy round: open the cheapest star, zero its cost,
             // remove its clients.
-            let best = eager
+            let best = reference
                 .iter()
                 .flatten()
                 .min_by(|a, b| a.price.partial_cmp(&b.price).unwrap())
@@ -652,7 +525,7 @@ mod tests {
         let mut par_orders = LazyOrders::build(&inst, ExecPolicy::Parallel, &meter);
         let remaining = vec![true; 50];
         let fcosts: Vec<f64> = (0..30).map(|i| inst.facility_cost(i)).collect();
-        let seq = all_cheapest_stars_lazy(
+        let seq = all_cheapest_stars(
             &inst,
             &fcosts,
             &mut seq_orders,
@@ -660,7 +533,7 @@ mod tests {
             ExecPolicy::Sequential,
             &meter,
         );
-        let par = all_cheapest_stars_lazy(
+        let par = all_cheapest_stars(
             &inst,
             &fcosts,
             &mut par_orders,
@@ -684,7 +557,7 @@ mod tests {
         let meter = CostMeter::new();
         let mut lazy = LazyOrders::build(&inst, ExecPolicy::Sequential, &meter);
         let remaining = vec![true; nc];
-        let star = all_cheapest_stars_lazy(
+        let star = all_cheapest_stars(
             &inst,
             &[2.0],
             &mut lazy,
@@ -694,10 +567,7 @@ mod tests {
         )
         .remove(0)
         .expect("star exists");
-        // Presort reference: the same star, computed eagerly.
-        let presort = FacilityOrders::presort(&inst, ExecPolicy::Sequential, &meter);
-        let eager = cheapest_maximal_star(&inst, 0, 2.0, presort.order(0), &remaining).unwrap();
-        assert_eq!(star, eager);
+        assert_eq!(Some(star), reference_star(&inst, 0, 2.0, &remaining));
         assert!(
             lazy.expanded_clients() < nc,
             "the 1e6-distance tail must stay unsorted (expanded {} of {nc})",
@@ -719,7 +589,7 @@ mod tests {
         let remaining = vec![true; 20];
         let fcosts: Vec<f64> = (0..4).map(|i| inst.facility_cost(i)).collect();
         let scan_meter = CostMeter::new();
-        let stars = all_cheapest_stars_lazy(
+        let stars = all_cheapest_stars(
             &inst,
             &fcosts,
             &mut lazy,
@@ -735,58 +605,38 @@ mod tests {
     }
 
     #[test]
-    fn star_orders_engine_selection() {
-        let inst = gen::facility_location(GenParams::uniform_square(10, 3).with_seed(1));
-        let meter = CostMeter::new();
-        let mut scan = StarOrders::build(&inst, EventEngine::Scan, ExecPolicy::Sequential, &meter);
-        let mut bucket =
-            StarOrders::build(&inst, EventEngine::Bucket, ExecPolicy::Sequential, &meter);
-        assert!(matches!(scan, StarOrders::Presort(_)));
-        assert!(matches!(bucket, StarOrders::Lazy(_)));
-        let remaining = vec![true; 10];
-        let fcosts: Vec<f64> = (0..3).map(|i| inst.facility_cost(i)).collect();
-        let a = all_cheapest_stars_with(
-            &inst,
-            &fcosts,
-            &mut scan,
-            &remaining,
-            ExecPolicy::Sequential,
-            &meter,
-        );
-        let b = all_cheapest_stars_with(
-            &inst,
-            &fcosts,
-            &mut bucket,
-            &remaining,
-            ExecPolicy::Sequential,
-            &meter,
-        );
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn parallel_and_sequential_star_computation_agree() {
-        let inst = gen::facility_location(GenParams::uniform_square(50, 30).with_seed(4));
+        // Round after round with shrinking remaining sets, the sequential
+        // and parallel policies expand the same buckets and return the same
+        // stars.
+        let inst = gen::facility_location(GenParams::gaussian_clusters(80, 20, 5).with_seed(7));
         let meter = CostMeter::new();
-        let orders = FacilityOrders::presort(&inst, ExecPolicy::Sequential, &meter);
-        let remaining = vec![true; 50];
-        let fcosts: Vec<f64> = (0..30).map(|i| inst.facility_cost(i)).collect();
-        let seq = all_cheapest_stars(
-            &inst,
-            &fcosts,
-            &orders,
-            &remaining,
-            ExecPolicy::Sequential,
-            &meter,
-        );
-        let par = all_cheapest_stars(
-            &inst,
-            &fcosts,
-            &orders,
-            &remaining,
-            ExecPolicy::Parallel,
-            &meter,
-        );
-        assert_eq!(seq, par);
+        let mut seq_orders = LazyOrders::build(&inst, ExecPolicy::Sequential, &meter);
+        let mut par_orders = LazyOrders::build(&inst, ExecPolicy::Parallel, &meter);
+        let mut remaining = vec![true; 80];
+        let fcosts: Vec<f64> = (0..20).map(|i| inst.facility_cost(i)).collect();
+        for round in 0..4 {
+            let seq = all_cheapest_stars(
+                &inst,
+                &fcosts,
+                &mut seq_orders,
+                &remaining,
+                ExecPolicy::Sequential,
+                &meter,
+            );
+            let par = all_cheapest_stars(
+                &inst,
+                &fcosts,
+                &mut par_orders,
+                &remaining,
+                ExecPolicy::Parallel,
+                &meter,
+            );
+            assert_eq!(seq, par, "round {round}");
+            assert_eq!(seq_orders.expanded_clients(), par_orders.expanded_clients());
+            for j in (round..80).step_by(4) {
+                remaining[j] = false;
+            }
+        }
     }
 }

@@ -152,6 +152,14 @@ pub enum LpError {
     Infeasible,
     /// The LP was reported unbounded (cannot happen: the objective is non-negative).
     Unbounded,
+    /// The dense simplex tableau would exceed [`LP_TABLEAU_BYTES_CAP`]; refused
+    /// before anything is allocated.
+    TableauTooLarge {
+        /// Bytes the tableau would take.
+        bytes: u64,
+        /// The cap it exceeds.
+        cap: u64,
+    },
 }
 
 impl std::fmt::Display for LpError {
@@ -159,11 +167,38 @@ impl std::fmt::Display for LpError {
         match self {
             LpError::Infeasible => write!(f, "facility-location LP reported infeasible"),
             LpError::Unbounded => write!(f, "facility-location LP reported unbounded"),
+            LpError::TableauTooLarge { bytes, cap } => write!(
+                f,
+                "the facility-location LP's dense simplex tableau would take {bytes} bytes \
+                 ({:.1} GiB), above the {cap}-byte ({:.0} GiB) cap; use greedy or \
+                 primal-dual, which solve no LP",
+                *bytes as f64 / (1u64 << 30) as f64,
+                *cap as f64 / (1u64 << 30) as f64,
+            ),
         }
     }
 }
 
 impl std::error::Error for LpError {}
+
+/// Largest dense simplex tableau [`solve_facility_lp`] will allocate: 4 GiB, the
+/// same cap as the workspace's other dense scratch buffers.
+pub const LP_TABLEAU_BYTES_CAP: u64 = 4 << 30;
+
+/// Bytes of the dense simplex tableau for the LP of an `nc × nf` instance:
+/// `nc + nc·nf` rows (all `>=` with a non-negative right-hand side), and
+/// columns for the `nc·nf + nf` variables, one surplus and one artificial per
+/// row, and the right-hand side. Saturates at `u64::MAX`.
+pub fn lp_tableau_bytes(nc: usize, nf: usize) -> u64 {
+    let (nc, nf) = (nc as u128, nf as u128);
+    let rows = nc * nf + nc;
+    rows.checked_mul(2)
+        .and_then(|r| r.checked_add(nc * nf + nf + 1))
+        .and_then(|cols| rows.checked_mul(cols))
+        .and_then(|cells| cells.checked_mul(8))
+        .and_then(|bytes| u64::try_from(bytes).ok())
+        .unwrap_or(u64::MAX)
+}
 
 /// Builds the LP relaxation of Figure 1 for `inst`.
 ///
@@ -206,10 +241,18 @@ pub fn build_facility_lp(inst: &FlInstance) -> LinearProgram {
 ///
 /// The work is polynomial but **not** polylogarithmic-depth — exactly the situation the
 /// paper describes; the rounding algorithm in `parfaclo-core` treats the result as
-/// given input.
+/// given input. Instances whose dense tableau would exceed [`LP_TABLEAU_BYTES_CAP`]
+/// are refused with [`LpError::TableauTooLarge`] before anything is allocated.
 pub fn solve_facility_lp(inst: &FlInstance) -> Result<FlLpSolution, LpError> {
     let nc = inst.num_clients();
     let nf = inst.num_facilities();
+    let bytes = lp_tableau_bytes(nc, nf);
+    if bytes > LP_TABLEAU_BYTES_CAP {
+        return Err(LpError::TableauTooLarge {
+            bytes,
+            cap: LP_TABLEAU_BYTES_CAP,
+        });
+    }
     let lp = build_facility_lp(inst);
     let sol = simplex::solve(&lp);
     match sol.outcome {
@@ -248,6 +291,23 @@ mod tests {
             // check that the bound is not absurdly loose.
             assert!(lp.value() >= opt / 3.0);
         }
+    }
+
+    #[test]
+    fn tableau_bytes_match_the_built_lp() {
+        let inst = gen::facility_location(GenParams::uniform_square(7, 3).with_seed(1));
+        let lp = build_facility_lp(&inst);
+        // Every row is `>=` with a non-negative right-hand side, so the
+        // simplex gives each one surplus and one artificial column.
+        assert!(lp
+            .constraints
+            .iter()
+            .all(|c| c.op == ConstraintOp::Ge && c.rhs >= 0.0));
+        let rows = lp.constraints.len() as u64;
+        let cols = (lp.num_vars + 2 * lp.constraints.len() + 1) as u64;
+        assert_eq!(lp_tableau_bytes(7, 3), rows * cols * 8);
+        assert_eq!(lp_tableau_bytes(2000, 64), 403_587_600_000);
+        assert_eq!(lp_tableau_bytes(10_000_000, 100), u64::MAX, "saturates");
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //!
 //! - **canonical** — span topology, per-span *round* deltas, and round
 //!   events `{round, frontier}`. These are a pure function of the workload:
-//!   byte-identical across distance backends (dense/implicit/spatial),
-//!   event engines (scan/bucket), and thread counts, which is what the
-//!   trace-conformance tests compare. Only the `rounds` counter rides here
-//!   because the scan and bucket engines legitimately charge different
-//!   element-op/sort profiles for the same result.
+//!   byte-identical across distance backends (dense/implicit/spatial) and
+//!   thread counts, which is what the trace-conformance tests compare.
+//!   Only the `rounds` counter rides here: element-op/sort charges measure
+//!   how a result was computed, not the result.
 //! - **timing metadata** — wall-clock timestamps, the full
 //!   [`CostReport`] delta per span, and the memory high-water. These ride
 //!   only in the Chrome-trace export ([`Tracer::chrome_json`], loadable in
@@ -361,8 +360,8 @@ impl Tracer {
     /// events `{round, frontier}`, all timestamps/work/memory stripped.
     /// Timing-only spans ([`timing_span`]) are filtered out (parents are
     /// remapped to the nearest canonical ancestor, events under them are
-    /// dropped). Byte-identical across backends, event engines, and thread
-    /// counts for the same workload and configuration — what the
+    /// dropped). Byte-identical across backends and thread counts for the
+    /// same workload and configuration — what the
     /// determinism tests and the CI smoke step compare.
     pub fn canonical_json(&self) -> String {
         let st = self.state.lock().expect("trace state poisoned");

@@ -1,112 +1,20 @@
-//! Conformance tests for the deterministic bucket event engine: the greedy
-//! and primal-dual solvers must produce **byte-identical** canonical Run
-//! JSON whether their round loops are driven by the historical scan paths
-//! (full presort / per-iteration rescans) or the bucket queues (lazy sorted
-//! prefixes / popped open-freeze events), under every distance backend and
-//! at any thread count — the event engine is a work/latency knob, never an
-//! algorithmic input.
+//! Conformance tests for the bucket-queue k-center radius deriver: the
+//! sketch deriver must be deterministic at any thread count and graph
+//! representation, and it must lift k-center to the sparse-xlarge preset
+//! where the exact deriver refuses. (Backend and thread invariance of the
+//! bucket-driven greedy and primal-dual round loops is covered by
+//! `determinism_and_seeds.rs`.)
 //!
-//! The tier-1 tests sweep (solver × size × seed × backend × threads) at
-//! scales that finish in seconds; the sparse-xlarge k-center sketch
-//! acceptance run is `#[ignore]`d (release-build wall clock) and executed
-//! explicitly:
+//! The sparse-xlarge acceptance run is `#[ignore]`d (release-build wall
+//! clock) and executed explicitly:
 //!
 //! ```text
 //! cargo test --release -p parfaclo-tests --test bucket_conformance -- --ignored
 //! ```
 
-use parfaclo_api::{Backend, EventEngine, GraphBackend, RadiusDeriver, RunConfig};
+use parfaclo_api::{Backend, GraphBackend, RadiusDeriver, RunConfig};
 use parfaclo_bench::runner::{run_solver, GenSpec};
 use parfaclo_bench::standard_registry;
-
-/// The solvers whose round loops dispatch on the event engine.
-const ENGINE_SOLVERS: &[&str] = &["greedy", "primal-dual"];
-
-/// The core conformance sweep: (2 solvers × 2 sizes × 2 seeds × 3 backends
-/// × 2 thread counts) scan-vs-bucket canonical JSON byte-equality. The
-/// work counters live in the timing section (engines charge differently by
-/// design), so canonical equality here asserts every algorithmic output —
-/// open set, assignment, costs, α bits, round counts — survives the engine
-/// swap bit-for-bit.
-#[test]
-fn greedy_and_primal_dual_scan_and_bucket_byte_identical() {
-    let registry = standard_registry();
-    for &solver in ENGINE_SOLVERS {
-        for n in [40usize, 80] {
-            for seed in [2u64, 9] {
-                for backend in [Backend::Dense, Backend::Implicit, Backend::Spatial] {
-                    for threads in [1usize, 4] {
-                        let spec = GenSpec::parse(&format!("clustered:n={n},nf={},c=4", n / 4))
-                            .expect("valid spec");
-                        let cfg = RunConfig::new(0.1)
-                            .with_seed(seed)
-                            .with_backend(backend)
-                            .with_threads(threads);
-                        let scan = run_solver(
-                            &registry,
-                            solver,
-                            &spec,
-                            &cfg.clone().with_engine(EventEngine::Scan),
-                        )
-                        .expect("scan-engine run");
-                        let bucket = run_solver(
-                            &registry,
-                            solver,
-                            &spec,
-                            &cfg.clone().with_engine(EventEngine::Bucket),
-                        )
-                        .expect("bucket-engine run");
-                        bucket.validate().expect("structurally valid run");
-                        assert_eq!(
-                            scan.canonical_json(),
-                            bucket.canonical_json(),
-                            "'{solver}' diverged across event engines at n={n}, seed={seed}, \
-                             backend {backend:?}, {threads} thread(s)"
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The ablation knobs must not interact with the engine swap: disabling
-/// preprocessing (which changes the dual-level ladder's starting value —
-/// the quantity the bucket schedules key on) and subselection must keep the
-/// engines byte-equivalent.
-#[test]
-fn engines_agree_under_ablation_knobs() {
-    let registry = standard_registry();
-    let spec = GenSpec::parse("uniform:n=60,nf=20").expect("valid spec");
-    for &solver in ENGINE_SOLVERS {
-        for preprocess in [true, false] {
-            for subselection in [true, false] {
-                let mut cfg = RunConfig::new(0.2).with_seed(5);
-                cfg.preprocess = preprocess;
-                cfg.subselection = subselection;
-                let scan = run_solver(
-                    &registry,
-                    solver,
-                    &spec,
-                    &cfg.clone().with_engine(EventEngine::Scan),
-                )
-                .expect("scan-engine run");
-                let bucket = run_solver(
-                    &registry,
-                    solver,
-                    &spec,
-                    &cfg.clone().with_engine(EventEngine::Bucket),
-                )
-                .expect("bucket-engine run");
-                assert_eq!(
-                    scan.canonical_json(),
-                    bucket.canonical_json(),
-                    "'{solver}' diverged (preprocess={preprocess}, subselection={subselection})"
-                );
-            }
-        }
-    }
-}
 
 /// The k-center sketch radius deriver must be deterministic across thread
 /// counts and graph representations (its candidate sample is

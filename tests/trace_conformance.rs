@@ -1,11 +1,10 @@
 //! Trace-determinism conformance: the canonical projection of a traced run
 //! (span topology, per-span round deltas, round events) must be a pure
-//! function of the workload — byte-identical across distance backends,
-//! event engines, and thread counts. Wall-clock and work profiles may
-//! differ (the scan and bucket engines legitimately charge different
-//! element-op counts); none of that rides in the canonical trace.
+//! function of the workload — byte-identical across distance backends and
+//! thread counts. Wall-clock profiles may differ; none of that rides in
+//! the canonical trace.
 
-use parfaclo_api::{Backend, EventEngine, RunConfig};
+use parfaclo_api::{Backend, RunConfig};
 use parfaclo_bench::runner::{run_solver, GenSpec};
 use parfaclo_bench::standard_registry;
 use parfaclo_trace::{install, TraceDetail, Tracer};
@@ -45,12 +44,6 @@ fn variants(seed: u64) -> Vec<(String, RunConfig)> {
                 base_cfg(seed).with_backend(backend).with_threads(threads),
             ));
         }
-    }
-    for engine in [EventEngine::Scan, EventEngine::Bucket] {
-        out.push((
-            format!("engine={engine:?}"),
-            base_cfg(seed).with_engine(engine),
-        ));
     }
     out
 }
